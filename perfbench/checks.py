@@ -9,8 +9,8 @@ the timed run's output with a reference computed there:
   result;
 * ``session_point`` — ``analyze()`` at one session parameter point
   (``execute=False``, the point's machine and chunk bounds) gives the
-  reference for a session answer, or must fail where the session
-  reported the point infeasible;
+  reference for a session answer; where it fails, the session must
+  have reported the point infeasible with the same error text;
 * ``lcg`` — the LCG oracle on its own, for bindings the session visited;
 * ``exec`` — ``analyze()`` gives the reference document and the
   execution-tier oracle re-executes its plan under both the enumerating
@@ -46,6 +46,11 @@ def sha_of(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def infeasible(error) -> str:
+    """The answer for a parameter point no relaxation makes feasible."""
+    return f"infeasible: {error}"
+
+
 def _verdict(report) -> dict:
     return {"ok": report.ok,
             "detail": "; ".join(str(m) for m in report.mismatches[:3])}
@@ -73,7 +78,8 @@ def _session_point(root, spec, env, H, alpha, beta, bounds) -> dict:
         result = analyze(program, env=env, H=H, back_edges=back,
                          execute=False, options=options)
     except (ValueError, RuntimeError) as exc:
-        return {"sha": None, "ok": True, "detail": f"infeasible: {exc}"}
+        # The session's answer must be the same error, word for word.
+        return {"sha": infeasible(exc), "ok": True, "detail": ""}
     return {"sha": sha_of(dumps_canonical(result.to_document())),
             "ok": True, "detail": ""}
 

@@ -11,6 +11,7 @@ same inputs in every process that asks.
 from __future__ import annotations
 
 import functools
+import itertools
 import random
 
 from repro.codes import ALL_CODES, scaled_env
@@ -78,7 +79,11 @@ def corpus_batch_items(seed: int, pass_index: int, root: str, short: bool):
 
 SERVE_CODE_H = (8, 16, 32, 64)
 SERVE_FIXTURE_H = (16, 64)
-ZIPF_S = 1.0
+#: Zipf exponent of request popularity.  Assumed: no traffic of this
+#: service has been recorded.  0.8 lies in the range Breslau et al.
+#: measured on web proxy traces ("Web Caching and Zipf-like
+#: Distributions", INFOCOM 1999: 0.64-0.83).
+ZIPF_S = 0.8
 
 
 def servable(spec, root: str) -> bool:
@@ -143,8 +148,39 @@ WHATIF_PINS = (1, 2, 4)
 WHATIF_AB = (((0.5, 1.0), (0.25, 0.5)), ((1.0, 2.0), (0.5, 1.0)),
              ((2.0, 4.0), (1.0, 2.0)), ((0.5, 4.0), (0.25, 2.0)))
 #: Op kinds per session; the seed interleaves them across sessions.
-WHATIF_MIX = (("H", 3), ("env", 3), ("phase", 4), ("sweep_ab", 4),
-              ("sweep_chunk", 2))
+#: Assumed, as no record of interactive sessions exists: the two edits
+#: that re-bind every edge (H, env) equally often, phase pins and clears
+#: a little more often (they touch only the ILP), and 12 sweeps to 20
+#: edits, so a session mostly edits and looks after most edits.  32 ops
+#: per session make about 10 s of timed work, enough to average out
+#: the speed drift of a shared host.
+WHATIF_MIX = (("H", 6), ("env", 6), ("phase", 8), ("sweep_ab", 8),
+              ("sweep_chunk", 4))
+
+
+def sweep_points(state, grid) -> list:
+    """Each point of a sweep ``grid`` as ``(env, H, alpha, beta,
+    bounds)``, overlaid on the session parameters ``state`` (same
+    shape), in ``run_sweep``'s row-major order over the sorted keys.
+    An empty grid is the one point ``state``."""
+    keys = sorted(grid)
+    points = []
+    for combo in itertools.product(*(grid[k] for k in keys)):
+        env, H, alpha, beta, bounds = state
+        env, bounds = dict(env), dict(bounds)
+        for key, value in zip(keys, combo):
+            if key == "H":
+                H = value
+            elif key == "alpha":
+                alpha = value
+            elif key == "beta":
+                beta = value
+            elif key.startswith("chunk:"):
+                bounds[key.partition(":")[2]] = (value, value)
+            else:
+                env[key] = value
+        points.append((env, H, alpha, beta, bounds))
+    return points
 
 
 def whatif_envs(name: str) -> tuple:

@@ -11,14 +11,17 @@ answers), and peak memory is that of the process doing the analysis.
 Outputs are checked after the timed phase against independent
 references (``checks.py``); a wrong output counts as a failed op.
 
-``--trace 0`` reports the end-to-end metrics.  ``--trace 1`` runs an
-untraced pass and then a traced pass over the same inputs, verifies
-that both answered with byte-identical documents, writes the traced
-pass's spans to ``.perfbench_out/spans-<workload>-<seed>.json`` and
-reports the per-layer metrics, the share of the op time the layer spans
-cover, and the tracing overhead (traced over untraced op time; the two
-passes run in different processes, so it includes the host's drift
-between them).
+``--trace 0`` reports the end-to-end metrics.  Their times are at the
+reference host speed of :mod:`hostspeed`: each is the measured time
+scaled by a host-speed probe taken next to it, so a shared host's
+drifting CPU speed does not move them; the measured figures are printed
+beside.  ``--trace 1`` runs an untraced pass and then a traced pass
+over the same inputs, verifies that both answered with byte-identical
+documents, writes the traced pass's spans to
+``.perfbench_out/spans-<workload>-<seed>.json`` and reports the
+per-layer metrics (measured times), the share of the measured op time
+the layer spans cover, and the tracing overhead (traced over untraced
+op time, both at reference speed).
 
 The last line of standard output is one JSON object:
 ``{"correct", "attempted", "failed", "metrics"}``.  Lines before it
@@ -40,6 +43,7 @@ import time
 HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, HERE)
 
+import hostspeed  # noqa: E402
 from common import (  # noqa: E402
     OUT_DIR, ensure_out_dir, percentile, ratio, self_times,
 )
@@ -128,7 +132,10 @@ class Runner:
                "--mode", mode, "--passes", str(passes), "--out", out]
         if a.short:
             cmd.append("--short")
-        cmd += ["--spawned-at", repr(time.monotonic())]
+        # The host's speed just before the spawn and, in the worker,
+        # just after set-up scale the set-up time between them.
+        cmd += ["--spawn-probe-ms", repr(hostspeed.probe_ms()),
+                "--spawned-at", repr(time.monotonic())]
         proc = subprocess.Popen(cmd, cwd=self.root, stdout=sys.stderr)
         try:
             code = proc.wait(timeout=max(1.0, self.deadline - time.monotonic()))
@@ -163,7 +170,8 @@ class Runner:
     def setup_samples(self, passes) -> list:
         extra = [self.spawn(len(passes) + k, "setup")
                  for k in range(SETUP_SAMPLES - len(passes))]
-        return [p["setup_s"] for p in passes + extra]
+        return [(p["setup_s"], p["measured_setup_s"])
+                for p in passes + extra]
 
 
 def cross_pass_mismatches(passes) -> list:
@@ -179,22 +187,31 @@ def cross_pass_mismatches(passes) -> list:
 
 
 def end_to_end(passes, setups) -> tuple:
+    """The end-to-end metrics, times at the reference host speed; the
+    notes give the measured figures next to them."""
     records = [r for p in passes for r in p["records"]]
     ms = [r["ms"] for r in records]
+    measured_ms = [r["measured_ms"] for r in records]
     timed = sum(p["timed_s"] for p in passes)
+    measured = sum(p["measured_timed_s"] for p in passes)
     values = {
-        "setup_s": statistics.median(setups),
+        "setup_s": statistics.median(s for s, _ in setups),
         "ops_per_s": len(records) / timed,
         "op_p50_ms": percentile(ms, 50),
         "op_p95_ms": percentile(ms, 95),
         "peak_rss_mb": max(p["rss_mb"] for p in passes),
     }
     notes = {
-        "setup_s": f"median of {len(setups)} set-ups",
-        "ops_per_s": f"{len(records)} ops / {timed:.3f} s timed",
-        "op_p50_ms": f"{len(ms)} samples",
+        "setup_s": f"median of {len(setups)} set-ups; measured "
+                   f"{statistics.median(m for _, m in setups):.4f} s",
+        "ops_per_s": f"{len(records)} ops / {timed:.3f} s timed; measured "
+                     f"{len(records) / measured:.4g} 1/s, host at "
+                     f"{timed / measured:.3f}x reference speed",
+        "op_p50_ms": f"{len(ms)} samples; measured "
+                     f"{percentile(measured_ms, 50):.4g} ms",
         "op_p95_ms": f"{len(ms)} samples, "
-                     f"{sum(v > values['op_p95_ms'] for v in ms)} beyond",
+                     f"{sum(v > values['op_p95_ms'] for v in ms)} beyond; "
+                     f"measured {percentile(measured_ms, 95):.4g} ms",
         "peak_rss_mb": "VmHWM of the analysing process"
                        + (" (the server)" if passes[0]["server"] else ""),
     }
@@ -230,14 +247,13 @@ def per_layer(passes) -> tuple:
                         "term_memo.component_misses", "term_memo.term_hits",
                         "term_memo.term_misses")
     plans = _sum(c, "plan.compiled", "plan.installed")
-    session_edges = 0
-    session_reused = 0
+    session_edges = session_reused = 0
     if any(s["name"] == "session.solve" for s in spans):
-        session_edges = edge_lookups + _sum(c, "session.edges_reused",
-                                            "session.edges_recomputed")
-        session_reused = (edge_lookups - c.get("analysis_cache.edge_misses", 0)
-                          + c.get("session.edges_reused", 0))
-    client_p50 = percentile([r["ms"] for r in traced["records"]], 50)
+        # Every session solve of the traced pass goes through the stage
+        # functions, so its edge lookups are the pass's edge lookups.
+        session_edges = edge_lookups
+        session_reused = edge_lookups - c.get("analysis_cache.edge_misses", 0)
+    client_p50 = percentile([r["measured_ms"] for r in traced["records"]], 50)
     if server:
         metrics = server["metrics"]
         cache = metrics["result_cache"]
@@ -256,6 +272,10 @@ def per_layer(passes) -> tuple:
     else:
         service = {k: 0 for k, _ in PER_LAYER if k.startswith("service.")}
         cache_base = 0
+    # Spans are measured time, so coverage compares them with measured
+    # op time; the overhead compares the two passes at reference speed,
+    # which takes the host's drift between them out.
+    measured_ms = sum(r["measured_ms"] for r in traced["records"])
     untraced_ms = sum(r["ms"] for r in base["records"])
     traced_ms = sum(r["ms"] for r in traced["records"])
     own = self_times(spans)
@@ -305,7 +325,7 @@ def per_layer(passes) -> tuple:
         "session.edges_reused_ratio": ratio(session_reused, session_edges),
         "workload.repeat_share": traced["inputs"]["repeat_share"],
         "workload.distinct_programs": traced["inputs"]["distinct_programs"],
-        "trace.layer_coverage": ratio(covered_s * 1000.0, traced_ms),
+        "trace.layer_coverage": ratio(covered_s * 1000.0, measured_ms),
         "trace.overhead": ratio(traced_ms, untraced_ms) - 1.0,
     }
     notes = {
@@ -318,9 +338,10 @@ def per_layer(passes) -> tuple:
         "service.result_cache_hit_ratio": f"of {cache_base} lookups",
         "session.edges_reused_ratio": f"of {session_edges} edge lookups",
         "trace.layer_coverage": f"{covered_s:.3f} s of layer self time / "
-                                f"{traced_ms / 1000.0:.3f} s of traced ops",
+                                f"{measured_ms / 1000.0:.3f} s of traced ops",
         "trace.overhead": f"{traced_ms / 1000.0:.3f} s traced / "
-                          f"{untraced_ms / 1000.0:.3f} s untraced",
+                          f"{untraced_ms / 1000.0:.3f} s untraced, at "
+                          f"reference speed",
     }
     return values, notes
 

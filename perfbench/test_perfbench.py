@@ -17,6 +17,7 @@ import sys
 
 import pytest
 
+import hostspeed
 import programs
 import run
 
@@ -97,3 +98,12 @@ def test_inputs_follow_the_seed():
     corpus = programs.corpus_batch_items(5, 0, ROOT, False)
     assert len(corpus) == 2 * (17 + 36)
     assert len({repr(item) for item in corpus}) == len(corpus)
+
+
+def test_host_speed_scale():
+    probe = hostspeed.probe_ms()
+    assert probe > 0
+    assert hostspeed.scale(hostspeed.REFERENCE_MS) == 1.0
+    assert hostspeed.scale(probe, probe) == hostspeed.REFERENCE_MS / probe
+    # A host twice as slow reads twice the time; scaled, the same.
+    assert 2.0 * hostspeed.scale(2 * probe) == hostspeed.scale(probe)

@@ -4,27 +4,33 @@ A pass generates its seeded inputs (that and the imports are its
 set-up), runs the timed ops with its share of the output checks between
 slices of them, reads its peak resident memory, and writes everything
 to a JSON file for ``run.py``.  A ``setup`` pass stops after set-up, so
-``run.py`` can take several set-up samples per run.
+``run.py`` can take several set-up samples per run.  Every time a pass
+reports is scaled to the reference host speed by the probes of
+:mod:`hostspeed` taken next to it; the measured times are kept beside.
 
     python3 perfbench/worker.py --workload corpus_batch --seed 1 \\
-        --mode untraced --spawned-at <monotonic> --out FILE
+        --mode untraced --spawn-probe-ms <ms> --spawned-at <monotonic> \\
+        --out FILE
 """
 
 from __future__ import annotations
 
 import argparse
 import collections
-import itertools
 import json
 import os
 import signal
 import sys
 import time
 
-#: ``serve_zipf`` requests per second of ``--seconds``: at 10 s the
-#: stream repeats about half its requests and the timed phase takes
-#: 10-15 s on a 2-core x86-64 host at the commit that introduced it.
-SERVE_REQUESTS_PER_S = 25
+import hostspeed
+
+#: ``serve_zipf`` requests per second of ``--seconds``.  Every one of
+#: the 130 keys is requested at least once, so at 10 s three quarters
+#: of the 500 requests repeat: the median request is then a cache hit
+#: and p95 lies among the misses, each away from the hit/miss boundary
+#: where a percentile jumps with the request order.
+SERVE_REQUESTS_PER_S = 50
 SHORT_OPS = 15
 #: Timed slices per pass, with a chunk of output checks after each.
 SLICES = 4
@@ -45,7 +51,8 @@ def _mix(items, distinct_keys: int) -> dict:
 
 class Workload:
     """Set-up in the constructor; then ``run_slice`` over consecutive op
-    ranges, ``finish``, ``check_plan`` and ``mix``.
+    ranges, ``finish``, ``check_plan`` and ``mix`` (of the inputs and,
+    where it matters, of the answers the ops gave).
 
     ``check_plan`` returns ``(tasks, expect)``: check tasks for
     :mod:`checks` and, per op, ``(task, position)`` pairs — the op's
@@ -55,6 +62,8 @@ class Workload:
     """
 
     setup_s = None  # measured from process spawn unless a server boots
+    #: Ops between two host-speed probes (see ``timed_with_checks``).
+    ops_per_segment = 1
 
     def finish(self, counts) -> None:
         pass
@@ -83,12 +92,12 @@ class AnalysisWorkload(Workload):
                  for spec, env, H in self.items]
         return tasks, [[(i, 0)] for i in range(len(tasks))]
 
-    def mix(self):
+    def mix(self, records):
         return _mix(self.items, len(self.items))
 
 
 class CorpusBatch(AnalysisWorkload):
-    def __init__(self, args, root):
+    def __init__(self, args, root, cpu):
         from programs import corpus_batch_items
 
         self.root = root
@@ -99,14 +108,14 @@ class CorpusBatch(AnalysisWorkload):
 class ExecHeavy(AnalysisWorkload):
     task_kind = "exec"
 
-    def __init__(self, args, root):
+    def __init__(self, args, root, cpu):
         from programs import exec_heavy_items
 
         self.root = root
         self.items = exec_heavy_items(args.seed, args.short)
 
-    def mix(self):
-        mix = super().mix()
+    def mix(self, records):
+        mix = super().mix(records)
         mix["sizes"] = sorted(
             f"{spec[1]}:" + ",".join(f"{k}={v}" for k, v in sorted(env.items()))
             for spec, env, _ in self.items
@@ -115,7 +124,10 @@ class ExecHeavy(AnalysisWorkload):
 
 
 class ServeZipf(Workload):
-    def __init__(self, args, root):
+    # The two clients drain at each probe, so segments are longer here.
+    ops_per_segment = 12
+
+    def __init__(self, args, root, cpu):
         from programs import fixtures, serve_zipf_stream
         from workloads import Server
 
@@ -124,7 +136,7 @@ class ServeZipf(Workload):
         n = SHORT_OPS if args.short else SERVE_REQUESTS_PER_S * args.seconds
         self.stream = serve_zipf_stream(args.seed, n, root, args.short)
         self.server = Server(root, f"{args.workload}-{args.seed}-"
-                             f"{args.pass_index}-{os.getpid()}")
+                             f"{args.pass_index}-{os.getpid()}", cpu)
         self.setup_s = self.server.setup_s
 
     @property
@@ -161,12 +173,15 @@ class ServeZipf(Workload):
                   item[key][2] not in CORPUS_H) for key in distinct]
         return tasks, [[(index[repr(it)], 0)] for it in self.stream]
 
-    def mix(self):
+    def mix(self, records):
         return _mix(self.stream, len(set(map(repr, self.stream))))
 
 
 class WhatifSession(Workload):
-    def __init__(self, args, root):
+    # Ops of a few ms: a probe per op would cost as much as the op.
+    ops_per_segment = 4
+
+    def __init__(self, args, root, cpu):
         from programs import materialize, whatif_plan
         from repro.codes import ALL_CODES
         from workloads import make_sessions
@@ -198,27 +213,16 @@ class WhatifSession(Workload):
 
     def _points(self):
         """Per op, ``(code, env, H, alpha, beta, bounds)`` of each answer
-        in the order the session returns them (a sweep: row-major over
-        its sorted grid keys, overlaid on the session's parameters)."""
-        out = []
-        for name, kind, grid, (env, H, alpha, beta, bounds) in self.ops:
-            if kind == "edit":
-                grid = {}
-            keys = sorted(grid)
-            pts = []
-            for combo in itertools.product(*(grid[k] for k in keys)):
-                a, b, bd = alpha, beta, dict(bounds)
-                for k, v in zip(keys, combo):
-                    if k == "alpha":
-                        a = v
-                    elif k == "beta":
-                        b = v
-                    else:
-                        bd[k.partition(":")[2]] = (v, v)
-                pts.append((name, tuple(sorted(env.items())), H, a, b,
-                            tuple(sorted(bd.items()))))
-            out.append(pts)
-        return out
+        in the order the session returns them, hashable."""
+        from programs import sweep_points
+
+        return [
+            [(name, tuple(sorted(env.items())), H, alpha, beta,
+              tuple(sorted(bounds.items())))
+             for env, H, alpha, beta, bounds in sweep_points(
+                 state, grid if kind == "sweep" else {})]
+            for name, kind, grid, state in self.ops
+        ]
 
     def check_plan(self):
         points = self._points()
@@ -239,15 +243,21 @@ class WhatifSession(Workload):
         ]
         return tasks, expect
 
-    def mix(self):
+    def mix(self, records):
+        from checks import infeasible
+
         points = [p for pts in self._points() for p in pts]
         distinct = set(points)
+        marker = infeasible("")
         return {
             "ops": len(self.ops),
             "edits": sum(op[1] == "edit" for op in self.ops),
             "sweeps": sum(op[1] == "sweep" for op in self.ops),
             "points": len(points),
             "distinct_points": len(distinct),
+            "infeasible_answers": sum(
+                str(doc).startswith(marker)
+                for r in records for doc in r["docs"]),
             "distinct_programs": len(self.sessions),
             "repeat_share": 1 - len(distinct) / len(points),
             "H": dict(collections.Counter(p[2] for p in points)),
@@ -288,11 +298,16 @@ def compare(records, tasks, expect, results: dict) -> dict:
     return {"tasks": len(results), "failures": failures}
 
 
-def timed_with_checks(workload, args, spans, counts, out) -> list:
+def timed_with_checks(workload, args, cpu, spans, counts, out) -> list:
     """Run the ops in ``SLICES`` consecutive slices; after each, one
     chunk of this pass's check tasks.  Of ``--passes`` passes over the
     same inputs, pass ``k`` takes every ``passes``-th task (in a
-    canonical order), so together they check every task once."""
+    canonical order), so together they check every task once.
+
+    Each slice runs in segments of ``workload.ops_per_segment`` ops,
+    pinned to ``cpu``, with a host-speed probe between them; a
+    segment's op times and wall time are scaled by the mean of the
+    probes before and after it."""
     from checks import check_pool
 
     traced = args.mode == "traced"
@@ -301,18 +316,33 @@ def timed_with_checks(workload, args, spans, counts, out) -> list:
     mine = order[args.pass_index::args.passes]
     n = workload.n_ops
     records, results = [], {}
-    timed = checking = 0.0
+    timed = measured = checking = 0.0
     with check_pool() as run_tasks:
         for j in range(SLICES):
-            ops = range(n * j // SLICES, n * (j + 1) // SLICES)
-            t0 = time.perf_counter()
-            records += workload.run_slice(ops, traced, spans, counts)
-            t1 = time.perf_counter()
+            lo, hi = n * j // SLICES, n * (j + 1) // SLICES
+            step = workload.ops_per_segment
+            with hostspeed.pinned(cpu):
+                before = hostspeed.probe_ms()
+                for k in range(lo, hi, step):
+                    t0 = time.perf_counter()
+                    segment = workload.run_slice(
+                        range(k, min(k + step, hi)), traced, spans, counts)
+                    t1 = time.perf_counter()
+                    after = hostspeed.probe_ms()
+                    factor = hostspeed.scale(before, after)
+                    for record in segment:
+                        record["measured_ms"] = record["ms"]
+                        record["ms"] *= factor
+                    records += segment
+                    timed += (t1 - t0) * factor
+                    measured += t1 - t0
+                    before = after
+            t2 = time.perf_counter()
             chunk = mine[j::SLICES]
             results.update(zip(chunk, run_tasks([tasks[t] for t in chunk])))
-            timed += t1 - t0
-            checking += time.perf_counter() - t1
+            checking += time.perf_counter() - t2
     out["timed_s"] = timed
+    out["measured_timed_s"] = measured
     out["checks"] = compare(records, tasks, expect, results)
     out["checks"]["seconds"] = checking
     return records
@@ -329,6 +359,7 @@ def main(argv=None) -> int:
                         default="untraced")
     parser.add_argument("--passes", type=int, default=1)
     parser.add_argument("--short", action="store_true")
+    parser.add_argument("--spawn-probe-ms", type=float, required=True)
     parser.add_argument("--spawned-at", type=float, required=True)
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
@@ -339,19 +370,24 @@ def main(argv=None) -> int:
     sys.path.insert(0, os.path.join(root, "src"))
     from common import Spans, vm_hwm_mb
 
-    workload = WORKLOADS[args.workload](args, root)
+    cpu = hostspeed.timed_cpu()
+    workload = WORKLOADS[args.workload](args, root, cpu)
     ready = time.monotonic()
-    out = {"setup_s": (workload.setup_s if workload.setup_s is not None
-                       else ready - args.spawned_at)}
+    setup = (workload.setup_s if workload.setup_s is not None
+             else ready - args.spawned_at)
+    out = {"setup_s": setup * hostspeed.scale(args.spawn_probe_ms,
+                                              hostspeed.probe_ms()),
+           "measured_setup_s": setup}
     try:
         if args.mode != "setup":
             spans, counts = Spans(), {}
-            records = timed_with_checks(workload, args, spans, counts, out)
+            records = timed_with_checks(workload, args, cpu, spans, counts,
+                                        out)
             workload.finish(counts)
             server = counts.pop("server", None)
             out["rss_mb"] = server["rss_mb"] if server else vm_hwm_mb()
             out.update(server=server, records=records,
-                       inputs=workload.mix(), counts=counts)
+                       inputs=workload.mix(records), counts=counts)
             if args.mode == "traced":
                 out["spans"] = spans.records
     finally:

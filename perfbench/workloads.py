@@ -22,17 +22,22 @@ import threading
 import time
 
 from repro import AnalysisResult, Collector, analyze
-from repro.distribution import extract_constraints, solve_enumerative
+from repro.distribution import (
+    extract_constraints, objective_breakdown, pareto_front,
+    solve_enumerative,
+)
 from repro.document import dumps_canonical
 from repro.dsm import execute_with_plan
 from repro.locality import build_lcg
 from repro.service.client import ServiceClient, ServiceError
-from repro.session import Session, apply_edit, apply_edits, run_sweep
+from repro.session import (
+    Session, SessionError, apply_edit, apply_edits, run_sweep,
+)
 from repro.symbolic.compile import compile_stats
 
-from checks import sha_of
+from checks import infeasible, sha_of
 from common import OUT_DIR, vm_hwm_mb
-from programs import fixtures, label, materialize
+from programs import fixtures, label, materialize, sweep_points
 
 
 def add_counts(totals: dict, counts: dict) -> None:
@@ -130,9 +135,11 @@ BOOT_TIMEOUT_S = 60.0
 
 
 class Server:
-    """A ``python -m repro serve`` child process on an ephemeral port."""
+    """A ``python -m repro serve`` child process on an ephemeral port,
+    pinned to ``cpu``: the CPU the pass's timed work and host-speed
+    probes run on."""
 
-    def __init__(self, root: str, tag: str):
+    def __init__(self, root: str, tag: str, cpu: int):
         self.log_path = os.path.join(root, OUT_DIR, f"server-{tag}.log")
         env = dict(os.environ)
         src = os.path.join(root, "src")
@@ -145,6 +152,7 @@ class Server:
                 cwd=root, env=env, stdout=log, stderr=log,
             )
         try:
+            os.sched_setaffinity(self.proc.pid, {cpu})
             self.port = self._wait_port()
             self._wait_health()
         except BaseException:
@@ -187,10 +195,20 @@ class Server:
                 self.proc.wait()
 
 
-def serve_pass(stream, ops, root, traced, spans, counts, server,
-               clients=2) -> list:
-    """Closed loop: ``clients`` threads each send their next request
-    only after the previous answer arrived."""
+#: Closed-loop client threads of ``serve_zipf``.
+SERVE_CLIENTS = 2
+
+
+def serve_pass(stream, ops, root, traced, spans, counts, server) -> list:
+    """Closed loop: each of ``SERVE_CLIENTS`` threads sends its next
+    request only after the previous answer arrived.
+
+    The traced pass times the request as one ``service`` span.  The
+    server does not report how long it spends serialising, so there is
+    no ``document`` span here; ``document.bytes`` counts the canonical
+    documents served (the server's response bodies, re-serialised
+    byte for byte).
+    """
     records = {}
     lock = threading.Lock()
     cursor = iter(ops)
@@ -216,8 +234,7 @@ def serve_pass(stream, ops, root, traced, spans, counts, server,
                 def op():
                     with spans.span("service", i):
                         doc = request(client, spec, env, H)
-                    with spans.span("document", i):
-                        text = dumps_canonical(doc)
+                    text = dumps_canonical(doc)
                     with lock:
                         add_counts(counts, {"document.bytes": len(text)})
                     return [sha_of(text)]
@@ -229,7 +246,7 @@ def serve_pass(stream, ops, root, traced, spans, counts, server,
                     dumps_canonical(request(client, spec, env, H)))])
             records[i] = out[0]
 
-    threads = [threading.Thread(target=loop) for _ in range(clients)]
+    threads = [threading.Thread(target=loop) for _ in range(SERVE_CLIENTS)]
     for t in threads:
         t.start()
     for t in threads:
@@ -255,10 +272,17 @@ def make_sessions(initial: dict, root: str) -> dict:
     return sessions
 
 
-def staged_solve(session, spans, op, counts) -> list:
-    """A session re-solve through the stage functions and its warm state."""
+def staged_solve(session, point, spans, op, counts) -> tuple:
+    """One session solve at ``point`` = ``(env, H, alpha, beta, bounds)``
+    through the stage functions and the session's warm cache and memo,
+    as ``Session.solve_at`` does through ``analyze()``.
+
+    Returns ``(answer, constraints, plan)``; ``answer`` is the document
+    hash, or ``infeasible: <error>`` where no relaxation makes the point
+    feasible.
+    """
+    env, H, alpha, beta, bounds = point
     program = session.program
-    env, H = dict(session.env), session.H
     obs = Collector(metrics=True)
     compile_before = compile_stats()
     program.context.obs = obs
@@ -271,35 +295,38 @@ def staged_solve(session, spans, op, counts) -> list:
             constraints = extract_constraints(lcg)
             plan = solve_enumerative(
                 constraints, env, H=H,
-                machine=session.machine_at(session.alpha, session.beta),
-                chunk_bounds=dict(session.bounds) or None,
+                machine=session.machine_at(alpha, beta),
+                chunk_bounds=dict(bounds) or None,
                 memo=session.memo,
             )
+    except INFEASIBLE as exc:
+        return infeasible(exc), None, None
     finally:
         program.context.obs = None
+        add_counts(counts, obs.counters)
+        add_counts(counts, compile_delta(compile_before))
     with spans.span("document", op):
         doc = AnalysisResult(
             program=program, lcg=lcg, constraints=constraints, plan=plan,
-            report=None, env=env, H=int(H),
+            report=None, env=dict(env), H=int(H),
         ).to_document()
         text = dumps_canonical(doc)
-    add_counts(counts, obs.counters)
-    add_counts(counts, compile_delta(compile_before))
     add_counts(counts, {"document.bytes": len(text)})
-    return [sha_of(text)]
+    return sha_of(text), constraints, plan
 
 
 #: What the Eq. 7 solver raises for a parameter point no relaxation
-#: makes feasible — an answer, not a failure: ``run_sweep`` reports such
-#: points as infeasible, and the checks demand that a fresh
-#: ``analyze()`` at the same point fails too.
+#: makes feasible.  That is an answer, not a failure: ``run_sweep``
+#: reports such points with their error, and the checks demand that a
+#: fresh ``analyze()`` at the same point fails with the same error.  A
+#: ``SessionError`` (a rejected edit) is never such an answer.
 INFEASIBLE = (ValueError, RuntimeError)
 
 
 def whatif_pass(sessions, ops, indices, traced, spans, counts) -> list:
-    """Edits and sweeps in the seeded order; a sweep answers one
-    document hash per grid point, an edit one, ``None`` where the point
-    is infeasible."""
+    """Edits and sweeps in the seeded order; a sweep answers one entry
+    per grid point, an edit one (a document hash, or the error of an
+    infeasible point)."""
     records = []
     for i in indices:
         name, kind, payload, _state = ops[i]
@@ -308,32 +335,48 @@ def whatif_pass(sessions, ops, indices, traced, spans, counts) -> list:
         def edit():
             try:
                 return [apply_edits(session, payload)["sha256"]]
-            except INFEASIBLE:
-                return [None]
+            except SessionError:
+                raise
+            except INFEASIBLE as exc:
+                return [infeasible(exc)]
 
         def sweep():
-            out = run_sweep(session, payload)
-            add_counts(counts, {
-                "session.edges_reused": out["reuse"]["edges_reused"],
-                "session.edges_recomputed":
-                    out["reuse"]["edges_recomputed"],
-            })
-            return [p.get("sha256") for p in out["points"]]
+            return [p.get("sha256") or infeasible(p["error"])
+                    for p in run_sweep(session, payload)["points"]]
 
         def traced_edit():
             for edit_op in payload:
                 with spans.span("session.edit", i):
                     apply_edit(session, edit_op)
             session.revision += 1
+            point = (dict(session.env), session.H, session.alpha,
+                     session.beta, dict(session.bounds))
             with spans.span("session.solve", i):
-                try:
-                    return staged_solve(session, spans, i, counts)
-                except INFEASIBLE:
-                    return [None]
+                return [staged_solve(session, point, spans, i, counts)[0]]
 
         def traced_sweep():
+            """``run_sweep`` point by point: each solve through the
+            stage functions, then the per-point objective breakdown and
+            the Pareto front."""
+            answers, axes = [], []
+            state = (session.env, session.H, session.alpha, session.beta,
+                     session.bounds)
+            for point in sweep_points(state, payload):
+                with spans.span("session.solve", i):
+                    answer, constraints, plan = staged_solve(
+                        session, point, spans, i, counts)
+                answers.append(answer)
+                if plan is None:
+                    continue
+                env, H, alpha, beta, _ = point
+                with spans.span("session.sweep", i):
+                    split = objective_breakdown(
+                        constraints, plan, env, H,
+                        machine=session.machine_at(alpha, beta))
+                axes.append((split["communication"], split["imbalance"]))
             with spans.span("session.sweep", i):
-                return sweep()
+                pareto_front(axes)
+            return answers
 
         if traced:
             fn = traced_edit if kind == "edit" else traced_sweep
