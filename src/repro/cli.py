@@ -145,8 +145,9 @@ def main(argv=None) -> int:
         metavar="KEY=VALUE,...",
         help="engine options (repeatable), e.g. "
         "engine=parallel,cache=lcg.pkl,refutation=off,workers=4,"
-        "fast_path=symbolic — executor tiers interp|legacy|wide|symbolic "
-        "(symbolic: closed-form counts, no enumeration) — the grammar "
+        "fast_path=wide — executor tiers off|legacy|wide|symbolic "
+        "(symbolic, the default: closed-form counts, no enumeration; "
+        "wide: its enumerating fallback and oracle) — the grammar "
         "of AnalysisOptions.from_spec",
     )
     parser.add_argument(

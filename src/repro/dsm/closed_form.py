@@ -136,7 +136,7 @@ def _sum_clamp_floor(M: int, g: int, d: int, s: int, nu: int) -> int:
     """``sum(clamp((g + d*m) // s, 0, nu) for m in range(M))``, s > 0."""
     if M <= 0 or nu <= 0:
         return 0
-    if d == 0:
+    if d == 0 or M == 1:
         return M * min(max(g // s, 0), nu)
     if d > 0:
         m1 = max(_ceil_div(s - g, d), 0)       # first m with v >= 1
@@ -254,8 +254,15 @@ def _count_interval(M: int, g: int, beta: int, dims, mu: int, A: int,
         ls, ln, s, nu = s1, n1, s2, n2
     else:
         ls, ln, s, nu = s2, n2, s1, n1
-    if ln > LOOP_BUDGET:
+    # A 3-D lattice: loop over its shortest dimension and count the
+    # other two by floor-sums.  When the block count is the shortest
+    # (one block per PE), the shorter dim takes the outer-AP role.
+    if min(M, ln) > LOOP_BUDGET:
         raise _Budget("interval-dims")
+    if M < ln:
+        return mu * sum(
+            _sum_window(ln, g + beta * m, ls, s, nu, A, B) for m in range(M)
+        )
     return mu * sum(
         _sum_window(M, g + ls * t, beta, s, nu, A, B) for t in range(ln)
     )

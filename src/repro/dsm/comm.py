@@ -19,7 +19,8 @@ latency term ``alpha * messages`` tractable on real machines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Optional
 
 import numpy as np
@@ -50,14 +51,23 @@ class PutOperation:
 
 @dataclass
 class CommunicationPlan:
-    """All puts emitted for one C edge."""
+    """All puts emitted for one C edge.
+
+    A plan is complete when built (``puts`` is never mutated after), so
+    its volume and makespans are computed once per plan: an all-to-all
+    edge at H=64 carries thousands of puts, and a report reads both
+    several times.
+    """
 
     array: str
     edge: tuple  # (phase_k, phase_g)
     pattern: str  # "global" | "frontier"
     puts: list  # list[PutOperation]
+    _makespans: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
-    @property
+    @cached_property
     def volume(self) -> int:
         return sum(p.elements for p in self.puts)
 
@@ -78,13 +88,17 @@ class CommunicationPlan:
         """
         if not self.puts:
             return 0.0
-        size = H or (max(max(p.source, p.dest) for p in self.puts) + 1)
-        busy = [0.0] * size
-        for p in self.puts:
-            c = p.cost(machine)
-            busy[p.source] += c
-            busy[p.dest] += c
-        return max(busy)
+        key = (machine, H)
+        span = self._makespans.get(key)
+        if span is None:
+            size = H or (max(max(p.source, p.dest) for p in self.puts) + 1)
+            busy = [0.0] * size
+            for p in self.puts:
+                c = p.cost(machine)
+                busy[p.source] += c
+                busy[p.dest] += c
+            span = self._makespans[key] = max(busy)
+        return span
 
     def __str__(self) -> str:
         return (

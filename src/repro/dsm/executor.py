@@ -149,12 +149,14 @@ class ExecutionReport:
         )
 
 
-#: Fast-path selector: "symbolic" (closed-form descriptor accounting,
-#: falling back to "wide"), "wide" (descriptor-first ragged
-#: enumeration, falling back to "legacy"), "legacy"
+#: Fast-path selector: "symbolic" (the default: closed-form descriptor
+#: accounting, falling back to "wide" per phase and per edge), "wide"
+#: (descriptor-first ragged enumeration, falling back to "legacy"; also
+#: the enumeration oracle of ``repro check --exec-tier``), "legacy"
 #: (affine-rectangular only), or "off" (always interpret).  The perf
-#: harness switches this to time the pre-optimization baseline.
-_FAST_MODE = "wide"
+#: harness switches this to "legacy" to time the pre-optimization
+#: baseline.
+_FAST_MODE = "symbolic"
 
 
 def _set_fast_path_default(mode: str) -> str:
@@ -179,8 +181,10 @@ def _try_fast_stats(
     """Vectorised phase accounting, or None to fall back to interpretation.
 
     Dispatches on the configured tier (``mode`` overriding the process
-    default): the wide path enumerates the whole nest descriptor-first
-    (handles non-rectangular bounds and ``Pow2`` subscripts); the legacy
+    default): the symbolic path counts in closed form from the access
+    descriptors; the wide path enumerates the whole nest
+    descriptor-first (handles non-rectangular bounds and ``Pow2``
+    subscripts) and is the symbolic path's fallback; the legacy
     path covers only rectangular affine nests and is kept as the
     measured pre-optimization baseline.
     """

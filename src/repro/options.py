@@ -159,12 +159,15 @@ class AnalysisOptions:
     refutation:
         sampled disproof of ``is_nonneg`` queries (bool).
     dsm_fast_path:
-        executor accounting tier: ``"symbolic"`` (closed-form
-        descriptor arithmetic, O(descriptors) instead of O(addresses)),
-        ``"wide"`` (descriptor-first ragged enumeration), ``"legacy"``
-        (affine-rectangular only) or ``"off"`` (always interpret).
-        Each tier falls back to the next on anything outside its
-        fragment, so counts are identical across tiers.
+        executor accounting tier: ``"symbolic"`` (the default:
+        closed-form descriptor arithmetic, O(descriptors) instead of
+        O(addresses)), ``"wide"`` (descriptor-first ragged
+        enumeration; the symbolic tier's fallback and the enumeration
+        oracle of ``repro check --exec-tier``), ``"legacy"``
+        (affine-rectangular only; ``bench-perf``'s pre-optimization
+        baseline) or ``"off"`` (always interpret).  Each tier falls
+        back to the next on anything outside its fragment, so counts
+        are identical across tiers.
     parallel_workers:
         cap on the parallel engine's pool width (default: engine cap).
     machine_alpha / machine_beta:

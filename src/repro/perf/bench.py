@@ -195,7 +195,7 @@ def set_optimizations(enabled: bool) -> None:
 
     set_memoization(enabled)
     set_vectorized(enabled)
-    _set_fast_path_default("wide" if enabled else "legacy")
+    _set_fast_path_default("symbolic" if enabled else "legacy")
     _set_refutation_default(enabled)
     _set_analysis_cache_default(enabled)
     clear_caches()

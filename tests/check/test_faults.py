@@ -104,9 +104,12 @@ class TestProverTimeout:
 
 class TestCompileFailure:
     def test_pipeline_falls_back_to_interpretation(self, baseline):
+        # The seam sits in the enumerating executor tier; the default
+        # closed-form tier compiles nothing, so pin the tier that does.
         obs = Collector(trace=False, metrics=True)
+        opts = AnalysisOptions(dsm_fast_path="wide")
         with faults.inject("compile_failure") as armed:
-            result = _analyze("jacobi", collector=obs)
+            result = _analyze("jacobi", options=opts, collector=obs)
             assert armed["compile_failure"] >= 1
         assert _labels(result) == baseline
         assert result.report.total_local == _analyze("jacobi").report.total_local

@@ -83,6 +83,17 @@ def test_negative_parallel_stride_block():
     _assert_counts_match(seg, 0, 50, 2, 4, layout)
 
 
+def test_block_counts_one_or_many_blocks_per_pe():
+    # BLOCK windows over a 3-D lattice (block count x CYCLIC chunk x
+    # inner stride): with one block per PE the block count is the
+    # shortest dimension, with many it is not (attn's KM/VM gather).
+    for trip, p, H in ((256, 4, 64), (40, 4, 4), (500, 3, 4), (9, 2, 8)):
+        for dpar, s, n in ((1, 264, 8), (2, 5, 3), (-1, 7, 6), (3, 1, 2)):
+            seg = Segment(base=2200, dpar=dpar, s=s, n=n, mult=1)
+            layout = BlockLayout(size=4096, H=H)
+            _assert_counts_match(seg, 0, trip - 1, p, H, layout)
+
+
 def test_zero_trip_segment_counts_nothing():
     seg = Segment(base=0, dpar=1, s=1, n=4, mult=1)
     layout = BlockCyclicLayout(origin=0, chunk=4, H=4)

@@ -209,7 +209,7 @@ class TestSwitches:
             set_optimizations(True)
             assert expr._MEMO_ENABLED is True
             assert interp._VECTOR_ENABLED is True
-            assert executor._FAST_MODE == "wide"
+            assert executor._FAST_MODE == "symbolic"
             assert refute._REFUTE_ENABLED is True
             assert engine._CACHE_ENABLED is True
         finally:

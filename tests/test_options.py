@@ -167,6 +167,16 @@ class TestKnobThreading:
             assert list(ps.local) == list(pw.local)
             assert list(ps.remote) == list(pw.remote)
 
+    def test_default_fast_path_is_closed_form(self):
+        program, env = _small_program()
+        clear_caches()
+        result = analyze(
+            program, env=env, H=4, options=AnalysisOptions(metrics=True)
+        )
+        c = result.metrics["counters"]
+        assert c.get("dsm.fast_path.symbolic", 0) > 0
+        assert c.get("dsm.fast_path.wide", 0) == 0
+
     def test_fast_path_symbolic_spec_round_trip(self):
         opts = AnalysisOptions.from_spec("fast_path=symbolic")
         assert opts.dsm_fast_path == "symbolic"
