@@ -133,6 +133,66 @@ class ConstraintSystem:
         return "\n".join(lines)
 
 
+def _node_rows(phase, array, ctx: Context) -> tuple:
+    """The H-independent rows of one ``(phase, array)`` node.
+
+    Returns ``(trip, overlap, storage)``: the load-balance trip count,
+    the widest overlap distance Δs (``None`` without overlap), and the
+    storage rows as ``(delta_p, limit, kind)`` triples.  None of them
+    depends on ``H``, the env binding or the LCG labels, only on the IR
+    and the context, so they are memoised on the phase object under the
+    same ``(array, context fingerprint)`` key as
+    :func:`check_intra_phase`: a re-solve of the same program (a
+    session edit, a what-if sweep point) reads them back instead of
+    redoing the symbolic arithmetic, and an added assumption changes
+    the fingerprint and recomputes them.
+    """
+    cache = getattr(phase, "_constraint_rows", None)
+    if cache is None:
+        cache = {}
+        setattr(phase, "_constraint_rows", cache)
+    key = (array.name, ctx._fingerprint())
+    rows = cache.get(key)
+    if rows is None:
+        rows = cache[key] = _node_rows_uncached(phase, array, ctx)
+    return rows
+
+
+def _node_rows_uncached(phase, array, ctx: Context) -> tuple:
+    par = phase.parallel_loop
+    trip = par.trip_count if par is not None else as_expr(1)
+    intra = check_intra_phase(phase, array, ctx)
+    if intra.symmetry is None or intra.iteration_descriptor is None:
+        return trip, None, ()
+    widest = None
+    if intra.symmetry.overlap:
+        widest = intra.symmetry.overlap[0][2]
+        for (_, _, dist) in intra.symmetry.overlap[1:]:
+            if ctx.is_le(widest, dist):
+                widest = dist
+    primary = intra.iteration_descriptor.primary_row()
+    if primary.delta_p.is_zero:
+        return trip, widest, ()
+    # Storage constraints concern *macro* copies: a shifted or mirrored
+    # region that must be placed symmetrically.  Halo micro-shifts
+    # (distance within one parallel sweep) belong to overlap handling,
+    # not storage allocation, so a shifted pair only yields a
+    # constraint when the copy lies beyond the primary row's full sweep.
+    sweep = (primary.count_p - 1) * primary.delta_p + primary.extent
+    phase_ctx = phase.loop_context(ctx)
+    storage = [
+        (primary.delta_p, dist, "shifted")
+        for (_, _, dist) in intra.symmetry.shifted
+        if phase_ctx.is_le(sweep, dist)
+    ]
+    storage += [
+        (primary.delta_p, dist / 2, "reverse")
+        for (_, _, dist) in intra.symmetry.reverse
+        if phase_ctx.is_le(sweep, dist)
+    ]
+    return trip, widest, tuple(storage)
+
+
 def extract_constraints(lcg: LCG) -> ConstraintSystem:
     """Read the four constraint families off a labelled LCG."""
     system = ConstraintSystem(lcg=lcg)
@@ -140,66 +200,32 @@ def extract_constraints(lcg: LCG) -> ConstraintSystem:
     ctx = program.context
 
     # Variables + load balance + storage, per (phase, array) node.
+    touched = [
+        (phase, {a.name for a in phase.arrays()}) for phase in program.phases
+    ]
     per_phase_vars: dict[str, list[str]] = {}
     for array in program.arrays_in_use():
-        for phase in program.phases:
-            if not any(a.name == array.name for a in phase.arrays()):
+        for phase, names in touched:
+            if array.name not in names:
                 continue
             var = system.var_name(phase.name, array.name)
             system.variables[var] = (phase.name, array.name)
             per_phase_vars.setdefault(phase.name, []).append(var)
-
-            par = phase.parallel_loop
-            trip = par.trip_count if par is not None else as_expr(1)
+            trip, overlap, storage = _node_rows(phase, array, ctx)
             system.load_balance.append(
                 LoadBalanceConstraint(
                     var=var, trip=trip, phase=phase.name, array=array.name
                 )
             )
-
-            intra = check_intra_phase(phase, array, ctx)
-            if intra.symmetry is None or intra.iteration_descriptor is None:
-                continue
-            if intra.symmetry.overlap:
-                widest = intra.symmetry.overlap[0][2]
-                for (_, _, dist) in intra.symmetry.overlap[1:]:
-                    if ctx.is_le(widest, dist):
-                        widest = dist
-                system.overlaps[var] = widest
-            idesc = intra.iteration_descriptor
-            primary = idesc.primary_row()
-            if primary.delta_p.is_zero:
-                continue
-            # Storage constraints concern *macro* copies: a shifted or
-            # mirrored region that must be placed symmetrically.  Halo
-            # micro-shifts (distance within one parallel sweep) belong
-            # to overlap handling, not storage allocation, so a shifted
-            # pair only yields a constraint when the copy lies beyond
-            # the primary row's full sweep.
-            sweep = (primary.count_p - 1) * primary.delta_p + primary.extent
-            phase_ctx = phase.loop_context(ctx)
-            for (_, _, dist) in intra.symmetry.shifted:
-                if not phase_ctx.is_le(sweep, dist):
-                    continue
+            if overlap is not None:
+                system.overlaps[var] = overlap
+            for delta_p, limit, kind in storage:
                 system.storage.append(
                     StorageConstraint(
                         var=var,
-                        delta_p=primary.delta_p,
-                        limit=dist,
-                        kind="shifted",
-                        phase=phase.name,
-                        array=array.name,
-                    )
-                )
-            for (_, _, dist) in intra.symmetry.reverse:
-                if not phase_ctx.is_le(sweep, dist):
-                    continue
-                system.storage.append(
-                    StorageConstraint(
-                        var=var,
-                        delta_p=primary.delta_p,
-                        limit=dist / 2,
-                        kind="reverse",
+                        delta_p=delta_p,
+                        limit=limit,
+                        kind=kind,
                         phase=phase.name,
                         array=array.name,
                     )

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Mapping, Optional
 
 import numpy as np
@@ -41,31 +42,33 @@ __all__ = [
 ]
 
 
-#: Memo for repeated objective/constraint evaluations: the relaxation
-#: loop re-reduces the system and the per-component enumeration re-reads
-#: the same trip counts for every candidate ``t``, always under the same
-#: few parameter bindings.  Hash-consed ``Expr`` nodes make the key cheap.
-_EVAL_CACHE: dict = {}
-_EVAL_CACHE_MAX = 1 << 14
+class _Evaluator:
+    """Exact evaluation of constraint expressions under one env binding.
 
+    One per solve: the ``Fraction`` env is built once, and the values
+    are memoised for the solve's lifetime, because the relaxation loop
+    re-reduces the same system and every component reads the same trip
+    counts and halo widths.
+    """
 
-def _ev(expr: Expr, env: Mapping[str, int]) -> Fraction:
-    key = (expr, tuple(sorted(env.items())))
-    hit = _EVAL_CACHE.get(key)
-    if hit is not None:
-        return hit
-    value = expr.evalf({k: Fraction(v) for k, v in env.items()})
-    if len(_EVAL_CACHE) >= _EVAL_CACHE_MAX:
-        _EVAL_CACHE.clear()
-    _EVAL_CACHE[key] = value
-    return value
+    __slots__ = ("fenv", "env", "values")
 
+    def __init__(self, env: Mapping[str, int]):
+        self.env = env
+        self.fenv = {k: Fraction(v) for k, v in env.items()}
+        self.values: dict = {}
 
-def _ev_int(expr: Expr, env: Mapping[str, int]) -> int:
-    v = _ev(expr, env)
-    if v.denominator != 1:
-        raise ValueError(f"{expr} not integral under {env}")
-    return int(v)
+    def __call__(self, expr: Expr) -> Fraction:
+        value = self.values.get(expr)
+        if value is None:
+            value = self.values[expr] = expr.evalf(self.fenv)
+        return value
+
+    def int(self, expr: Expr) -> int:
+        v = self(expr)
+        if v.denominator != 1:
+            raise ValueError(f"{expr} not integral under {self.env}")
+        return int(v)
 
 
 class TermMemo:
@@ -73,8 +76,8 @@ class TermMemo:
 
     Two levels, both keyed on plain evaluated integers/floats so hits
     return the *identical* floats a cold evaluation produces (the
-    accumulation order in :func:`_component_cost` is unchanged, so a
-    memoized solve is bit-identical to a fresh one):
+    accumulation order in :func:`_argmin` is unchanged, so a memoized
+    solve is bit-identical to a fresh one):
 
     * ``component`` — a whole component's argmin: structural key
       (members, candidate ``t`` range, trips, overlaps, work, ``H``,
@@ -120,53 +123,97 @@ class TermMemo:
         self.term_hits = self.term_misses = 0
 
 
+def _norm(A: int, B: int, D: int) -> tuple:
+    """The canonical integer row of ``p = (A*t + B) / D``: ``D > 0`` and
+    ``gcd(A, B, D) == 1``, so equal relations have equal rows."""
+    if D == 0:
+        raise ZeroDivisionError(f"affine relation ({A}*t + {B}) / 0")
+    g = gcd(A, B, D)
+    if D < 0:
+        g = -g
+    return A // g, B // g, D // g
+
+
+def _affine(a: Fraction, b: Fraction, d: Fraction) -> tuple:
+    """``p = (a*t + b) / d`` for rationals as a canonical integer row."""
+    L = lcm(a.denominator, b.denominator, d.denominator)
+    return _norm(
+        a.numerator * (L // a.denominator),
+        b.numerator * (L // b.denominator),
+        d.numerator * (L // d.denominator),
+    )
+
+
+#: The identity relation ``p = (1*t + 0) / 1``, shared by every root.
+_UNIT = (1, 0, 1)
+
+
 class _AffineUnionFind:
-    """Union-find maintaining ``p_v = a_v * p_root + b_v`` (rationals)."""
+    """Union-find maintaining ``p_v = (A_v * p_root + B_v) / D_v``.
+
+    Relations are canonical integer rows (see :func:`_norm`), composed
+    with integer products and one gcd instead of ``Fraction`` arithmetic.
+    """
 
     def __init__(self):
         self.parent: dict[str, str] = {}
-        self.rel: dict[str, tuple] = {}  # v -> (a, b) wrt parent
+        self.rel: dict[str, tuple] = {}  # v -> (A, B, D) wrt parent
 
     def add(self, v: str) -> None:
         if v not in self.parent:
             self.parent[v] = v
-            self.rel[v] = (Fraction(1), Fraction(0))
+            self.rel[v] = _UNIT
 
     def find(self, v: str) -> tuple:
-        """Return (root, a, b) with p_v = a * p_root + b (path-compressed)."""
-        if self.parent[v] == v:
-            return v, Fraction(1), Fraction(0)
-        root, pa, pb = self.find(self.parent[v])
-        a, b = self.rel[v]
-        # p_v = a * p_parent + b;  p_parent = pa * p_root + pb
-        na, nb = a * pa, a * pb + b
-        self.parent[v] = root
-        self.rel[v] = (na, nb)
-        return root, na, nb
+        """Return (root, A, B, D) with p_v = (A * p_root + B) / D
+        (path-compressed)."""
+        parent = self.parent[v]
+        if parent == v:
+            return (v,) + _UNIT
+        root, pa, pb, pd = self.find(parent)
+        a, b, d = self.rel[v]
+        if parent != root:
+            # p_v = (a * p_parent + b) / d
+            # p_parent = (pa * p_root + pb) / pd
+            a, b, d = _norm(a * pa, a * pb + b * pd, d * pd)
+            self.parent[v] = root
+            self.rel[v] = (a, b, d)
+        return root, a, b, d
 
-    def union(self, u: str, v: str, a: Fraction, b: Fraction) -> bool:
-        """Impose ``p_u = a * p_v + b``.  Returns False on inconsistency."""
-        ru, au, bu = self.find(u)
-        rv, av, bv = self.find(v)
+    def union(self, u: str, v: str, rel: tuple) -> bool:
+        """Impose ``p_u = (A * p_v + B) / D`` for ``rel = (A, B, D)``.
+        Returns False on inconsistency."""
+        A, B, D = rel
+        ru, au, bu, du = self.find(u)
+        rv, av, bv, dv = self.find(v)
+        # p_u through the relation: (A*av * t + A*bv + B*dv) / (D*dv)
         if ru == rv:
-            # au * t + bu must equal a * (av * t + bv) + b for all feasible t
-            # -> consistent only when coefficients match (else the system
-            #    pins t to a single value; callers handle via bounds).
-            return (au == a * av) and (bu == a * bv + b)
-        # p_ru: from p_u = au * p_ru + bu  ->  p_ru = (p_u - bu)/au
-        # p_u = a*p_v + b = a*(av*p_rv + bv) + b
-        # p_ru = (a*av*p_rv + a*bv + b - bu) / au
+            # (au*t + bu)/du must equal it for all feasible t ->
+            # consistent only when coefficients match (else the system
+            # pins t to a single value; callers handle via bounds).
+            return (
+                au * D * dv == A * av * du
+                and bu * D * dv == (A * bv + B * dv) * du
+            )
+        # p_ru = (du * p_u - bu) / au with p_u in terms of p_rv
         self.parent[ru] = rv
-        self.rel[ru] = ((a * av) / au, (a * bv + b - bu) / au)
+        self.rel[ru] = _norm(
+            A * av * du, (A * bv + B * dv) * du - bu * D * dv, au * D * dv
+        )
         return True
 
 
 @dataclass
 class VariableComponent:
-    """One connected set of p-variables sharing the parameter ``t``."""
+    """One connected set of p-variables sharing the parameter ``t``.
+
+    Each member's relation is a canonical integer row ``(A, B, D)`` with
+    ``p = (A*t + B) / D`` (see :func:`_norm`), so integrality at a
+    candidate ``t`` is a ``divmod``, not a ``Fraction`` per candidate.
+    """
 
     root: str
-    members: dict  # var -> (a: Fraction, b: Fraction): p = a*t + b
+    members: dict  # var -> (A, B, D): p = (A*t + B) / D
     t_min: int
     t_max: int
     pinned: Optional[int] = None  # inconsistent union resolved to fixed t
@@ -175,14 +222,22 @@ class VariableComponent:
     def values_for(self, t: int) -> Optional[dict]:
         """All member p values at parameter ``t`` (None if non-integral)."""
         out = {}
-        for var, (a, b) in self.members.items():
-            val = a * t + b
-            if val.denominator != 1 or val < 1:
+        for var, (A, B, D) in self.members.items():
+            p, r = divmod(A * t + B, D)
+            if r or p < 1:
                 return None
-            out[var] = int(val)
+            out[var] = p
         return out
 
     def feasible_ts(self, limit: int = 100_000) -> list:
+        """Every ``t`` in ``[max(t_min, 1), t_max]`` where all members are
+        integral and at least 1, ascending.
+
+        Each member contributes a half-line (``p >= 1``) and a residue
+        class (``D`` divides ``A*t + B``); the classes are merged by the
+        Chinese remainder theorem, so the answer is one arithmetic
+        progression, built without testing a single ``t``.
+        """
         if self._ts_cache is not None:
             return self._ts_cache
         if self.t_max - self.t_min > limit:
@@ -190,11 +245,34 @@ class VariableComponent:
                 f"component {self.root}: t range too large "
                 f"({self.t_min}..{self.t_max})"
             )
-        self._ts_cache = [
-            t
-            for t in range(max(self.t_min, 1), self.t_max + 1)
-            if self.values_for(t) is not None
-        ]
+        lo, hi = max(self.t_min, 1), self.t_max
+        first, step = 0, 1  # t == first (mod step)
+        for A, B, D in self.members.values():
+            # (A*t + B) / D >= 1
+            if A > 0:
+                lo = max(lo, -((B - D) // A))
+            elif A < 0:
+                hi = min(hi, (B - D) // -A)
+            elif B < D:
+                hi = lo - 1
+            # A*t + B == 0 (mod D)
+            g = gcd(A, D)
+            if B % g:
+                hi = lo - 1
+                break
+            m = D // g
+            if m == 1:
+                continue
+            r = (-B // g) * pow(A // g, -1, m) % m
+            # merge t == first (mod step) with t == r (mod m)
+            g = gcd(step, m)
+            if (r - first) % g:
+                hi = lo - 1
+                break
+            k = (r - first) // g * pow(step // g, -1, m // g) % (m // g)
+            first, step = first + step * k, step // g * m
+        start = lo + (first - lo) % step
+        self._ts_cache = list(range(start, hi + 1, step))
         return self._ts_cache
 
 
@@ -247,6 +325,13 @@ def reduce_system(
     the per-variable ``[1, ub]`` box before the component t-range is
     derived.
     """
+    return _reduce(
+        system, _Evaluator(env), H, skip_locality, chunk_bounds, skip_storage
+    )
+
+
+def _reduce(system, ev, H, skip_locality, chunk_bounds, skip_storage) -> list:
+    """:func:`reduce_system` under an evaluator shared by one solve."""
     skip_locality = skip_locality or set()
     skip_storage = skip_storage or set()
     uf = _AffineUnionFind()
@@ -256,23 +341,23 @@ def reduce_system(
     pinned_values: dict[str, int] = {}
 
     for c in system.affinity:
-        uf.union(c.var_a, c.var_b, Fraction(1), Fraction(0))
+        uf.union(c.var_a, c.var_b, _UNIT)
     for c in system.locality:
         if (c.edge[0], c.edge[1], c.array) in skip_locality:
             continue
-        a_k = _ev(c.slope_k, env)
-        a_g = _ev(c.slope_g, env)
-        shift = _ev(c.shift, env)
-        # a_k p_k = a_g p_g + shift  ->  p_k = (a_g/a_k) p_g + shift/a_k
-        ok = uf.union(c.var_k, c.var_g, a_g / a_k, shift / a_k)
+        a_k = ev(c.slope_k)
+        a_g = ev(c.slope_g)
+        shift = ev(c.shift)
+        # a_k p_k = a_g p_g + shift  ->  p_k = (a_g p_g + shift) / a_k
+        ok = uf.union(c.var_k, c.var_g, _affine(a_g, shift, a_k))
         if not ok:
             # The component is over-constrained: the two relations pin t.
-            root, a, b = uf.find(c.var_k)
+            root, A, B, D = uf.find(c.var_k)
             # a*t + b = (a_g/a_k) * (a'*t + b') + shift/a_k with (a',b') of var_g
-            _, ag2, bg2 = uf.find(c.var_g)
-            lhs_a, lhs_b = a, b
-            rhs_a = (a_g / a_k) * ag2
-            rhs_b = (a_g / a_k) * bg2 + shift / a_k
+            _, Ag, Bg, Dg = uf.find(c.var_g)
+            lhs_a, lhs_b = Fraction(A, D), Fraction(B, D)
+            rhs_a = (a_g / a_k) * Fraction(Ag, Dg)
+            rhs_b = (a_g / a_k) * Fraction(Bg, Dg) + shift / a_k
             if lhs_a == rhs_a:
                 continue  # same relation, fine
             t_star = (rhs_b - lhs_b) / (lhs_a - rhs_a)
@@ -284,14 +369,14 @@ def reduce_system(
     # Gather bounds per variable, then per component.
     ub: dict[str, int] = {}
     for c in system.load_balance:
-        trip = _ev_int(c.trip, env)
+        trip = ev.int(c.trip)
         ub_v = -(-trip // H)
         ub[c.var] = min(ub.get(c.var, 1 << 60), ub_v)
     for c in system.storage:
         if c in skip_storage:
             continue
-        dp = _ev(c.delta_p, env)
-        limit = _ev(c.limit, env)
+        dp = ev(c.delta_p)
+        limit = ev(c.limit)
         # delta_p * p * H <= limit  ->  p <= limit / (delta_p * H)
         bound = limit / (dp * H)
         ub_v = int(bound) if bound >= 1 else 0
@@ -309,25 +394,24 @@ def reduce_system(
 
     groups: dict[str, dict] = {}
     for var in system.variables:
-        root, a, b = uf.find(var)
-        groups.setdefault(root, {})[var] = (a, b)
+        root, A, B, D = uf.find(var)
+        groups.setdefault(root, {})[var] = (A, B, D)
 
     components = []
     for root, members in groups.items():
         t_lo, t_hi = 1, 1 << 60
-        for var, (a, b) in members.items():
+        for var, (A, B, D) in members.items():
             ub_v = ub.get(var, 1 << 60)
             lb_v = lb.get(var, 1)
-            # lb_v <= a*t + b <= ub_v, with a possibly negative
-            if a > 0:
-                t_lo = max(t_lo, _ceil_frac(Fraction(lb_v) - b, a))
-                t_hi = min(t_hi, _floor_frac(Fraction(ub_v) - b, a))
-            elif a < 0:
-                t_lo = max(t_lo, _ceil_frac(Fraction(ub_v) - b, a))
-                t_hi = min(t_hi, _floor_frac(Fraction(lb_v) - b, a))
-            else:
-                if not (lb_v <= b <= ub_v):
-                    t_hi = 0  # infeasible
+            # lb_v <= (A*t + B) / D <= ub_v, with A possibly negative
+            if A > 0:
+                t_lo = max(t_lo, -((B - lb_v * D) // A))
+                t_hi = min(t_hi, (ub_v * D - B) // A)
+            elif A < 0:
+                t_lo = max(t_lo, -((B - ub_v * D) // A))
+                t_hi = min(t_hi, (lb_v * D - B) // A)
+            elif not (lb_v * D <= B <= ub_v * D):
+                t_hi = 0  # infeasible
         comp = VariableComponent(
             root=root, members=members, t_min=t_lo, t_max=min(t_hi, 1 << 31)
         )
@@ -342,17 +426,7 @@ def reduce_system(
     return components
 
 
-def _ceil_frac(num: Fraction, den: Fraction) -> int:
-    q = num / den
-    return -int((-q.numerator) // q.denominator) if q.denominator else int(q)
-
-
-def _floor_frac(num: Fraction, den: Fraction) -> int:
-    q = num / den
-    return int(q.numerator // q.denominator)
-
-
-def _var_inputs(system, var, env, work, trips):
+def _var_inputs(system, var, ev, work, trips):
     """The evaluated per-variable Eq. 7 inputs: (trip, work, halo width).
 
     ``None`` when the variable has no load-balance constraint (it
@@ -362,12 +436,12 @@ def _var_inputs(system, var, env, work, trips):
     lb = trips.get(var)
     if lb is None:
         return None
-    trip = _ev_int(lb.trip, env)
+    trip = ev.int(lb.trip)
     wk = work.get(lb.phase, 1.0)
-    overlap = system.overlaps.get(var) if hasattr(system, "overlaps") else None
+    overlap = system.overlaps.get(var)
     if overlap is not None:
         try:
-            width = _ev_int(overlap, env)
+            width = ev.int(overlap)
         except (ValueError, KeyError):
             width = 0
     else:
@@ -403,60 +477,58 @@ def _var_term(trip, wk, width, p, H, machine, memo=None):
     return pair
 
 
-def _component_cost(
-    system: ConstraintSystem,
-    comp: VariableComponent,
-    t: int,
-    env: Mapping[str, int],
-    H: int,
-    machine: MachineCosts,
-    work: Mapping[str, float],
-    trips: Optional[Mapping] = None,
-    memo: Optional[TermMemo] = None,
-) -> Optional[float]:
-    """Eq. 7 objective restricted to one component.
+def _component_cost(system, comp, t, ev, H, machine, work, trips):
+    """Eq. 7 objective restricted to one component, at one ``t``.
 
     D^k — CYCLIC(p) idle-cycle imbalance — plus the p-dependent slice of
     C^kg: frontier/halo traffic, which pays ``beta * Δs`` per block
     boundary (``ceil(trip/p)`` boundaries), so larger chunks trade load
     balance against halo volume exactly as the paper's model does.
 
-    ``trips`` (var -> load-balance constraint) can be hoisted by callers
-    enumerating many ``t`` per system; it is derived when omitted.
+    The MILP cross-check prices its choices with this member-by-member
+    evaluation; :func:`_argmin` is the enumerative solver's hoisted
+    equivalent.  ``None`` when ``t`` makes a member non-integral.
     """
     values = comp.values_for(t)
     if values is None:
         return None
     total = 0.0
-    if trips is None:
-        trips = {c.var: c for c in system.load_balance}
     for var, p in values.items():
-        inputs = _var_inputs(system, var, env, work, trips)
+        inputs = _var_inputs(system, var, ev, work, trips)
         if inputs is None:
             continue
         trip, wk, width = inputs
-        imb, comm = _var_term(trip, wk, width, p, H, machine, memo=memo)
+        imb, comm = _var_term(trip, wk, width, p, H, machine)
         total += imb
         if comm is not None:
             total += comm
     return total
 
 
-def _component_key(system, comp, ts, env, H, machine, work, trips):
-    """A structural memo key capturing every input of a component argmin.
+def _argmin(terms, ts, H, machine, memo) -> tuple:
+    """``(best_t, best_cost)`` of one component over its candidates.
 
-    Two solves agreeing on this key (members with their affine
-    relations, the candidate ``t`` list, evaluated trips/halo widths,
-    work weights, ``H`` and the machine coefficients) evaluate the
-    identical cost function over the identical candidates, so caching
-    ``(best_t, best_cost)`` under it is exact.
+    ``terms`` holds ``(A, B, D, trip, work, width)`` per member with
+    Eq. 7 inputs, in member order, so each candidate's chunk is
+    ``(A*t + B) // D`` (exact: every ``t`` in ``ts`` is integral for
+    every member).  The per-member pairs are summed in member order,
+    imbalance before frontier traffic, exactly as
+    :func:`_component_cost` does, so the floats are bit-identical to it;
+    the first ``t`` of a tie wins.
     """
-    sig = []
-    for var in sorted(comp.members):
-        a, b = comp.members[var]
-        inputs = _var_inputs(system, var, env, work, trips)
-        sig.append((var, a, b, inputs))
-    return (tuple(sig), tuple(ts), H, machine.alpha, machine.beta)
+    best_t, best_cost = None, None
+    for t in ts:
+        cost = 0.0
+        for A, B, D, trip, wk, width in terms:
+            imb, comm = _var_term(
+                trip, wk, width, (A * t + B) // D, H, machine, memo
+            )
+            cost += imb
+            if comm is not None:
+                cost += comm
+        if best_cost is None or cost < best_cost:
+            best_t, best_cost = t, cost
+    return best_t, best_cost
 
 
 def solve_enumerative(
@@ -495,24 +567,24 @@ def solve_enumerative(
     """
     obs = getattr(system.lcg.program.context, "obs", None)
     work = dict(work or {})
+    ev = _Evaluator(env)
     relaxed: set = set()
     relaxed_storage: set = set()
     while True:
-        components = reduce_system(
-            system, env, H, skip_locality=relaxed, chunk_bounds=chunk_bounds,
-            skip_storage=relaxed_storage,
+        components = _reduce(
+            system, ev, H, relaxed, chunk_bounds, relaxed_storage
         )
         infeasible = [c for c in components if not c.feasible_ts()]
         if not infeasible:
             break
-        culprit = _pick_relaxation(system, env, infeasible, relaxed)
+        culprit = _pick_relaxation(system, ev, infeasible, relaxed)
         if culprit is not None:
             relaxed.add(culprit)
             if obs is not None:
                 obs.count("ilp.relaxations")
             continue
         storage_culprit = _pick_storage_relaxation(
-            system, env, H, infeasible, relaxed_storage
+            system, ev, H, infeasible, relaxed_storage
         )
         if storage_culprit is None:
             raise ValueError(
@@ -540,10 +612,19 @@ def solve_enumerative(
         if obs is not None:
             obs.count("ilp.components")
         ts = comp.feasible_ts()
+        inputs = [
+            (var, A, B, D, _var_inputs(system, var, ev, work, trips))
+            for var, (A, B, D) in comp.members.items()
+        ]
         mkey = None
         if memo is not None:
-            mkey = _component_key(
-                system, comp, ts, env, H, machine, work, trips
+            # Every input of the argmin: members with their affine
+            # relations and evaluated (trip, work, width), the candidate
+            # list, H and the machine.  Solves agreeing on it evaluate
+            # the identical cost function over the identical candidates.
+            mkey = (
+                tuple(sorted(inputs)), tuple(ts), H,
+                machine.alpha, machine.beta,
             )
             hit = memo.component.get(mkey)
             if hit is not None:
@@ -558,16 +639,10 @@ def solve_enumerative(
         with obs_span(obs, f"ilp:component:{comp.root}") as sp:
             if obs is not None:
                 obs.count("ilp.candidates", len(ts))
-            best_t, best_cost = None, None
-            for t in ts:
-                cost = _component_cost(
-                    system, comp, t, env, H, machine, work, trips=trips,
-                    memo=memo,
-                )
-                if cost is None:
-                    continue
-                if best_cost is None or cost < best_cost:
-                    best_t, best_cost = t, cost
+            terms = [
+                (A, B, D) + x for _, A, B, D, x in inputs if x is not None
+            ]
+            best_t, best_cost = _argmin(terms, ts, H, machine, memo)
             values = comp.values_for(best_t)
             sp.set(candidates=len(ts), best_t=best_t)
         if memo is not None:
@@ -585,7 +660,7 @@ def solve_enumerative(
             if edge.intra_k.has_overlap and edge.intra_k.symmetry is not None:
                 first = edge.intra_k.symmetry.overlap[0][2]
                 try:
-                    overlap = _ev_int(first, env)
+                    overlap = ev.int(first)
                 except (ValueError, KeyError):
                     overlap = None
             comm_total += communication_cost(size, H, overlap, machine)
@@ -632,11 +707,12 @@ def objective_breakdown(
     plan itself is untouched.
     """
     work = dict(work or {})
+    ev = _Evaluator(env)
     trips = {c.var: c for c in system.load_balance}
     imbalance = 0.0
     frontier = 0.0
     for var, p in plan.chunks.items():
-        inputs = _var_inputs(system, var, env, work, trips)
+        inputs = _var_inputs(system, var, ev, work, trips)
         if inputs is None:
             continue
         trip, wk, width = inputs
@@ -652,7 +728,7 @@ def objective_breakdown(
 
 def _pick_relaxation(
     system: ConstraintSystem,
-    env: Mapping[str, int],
+    ev: _Evaluator,
     infeasible: list,
     already: set,
 ) -> Optional[tuple]:
@@ -673,8 +749,8 @@ def _pick_relaxation(
             continue
         if c.var_k not in bad_vars and c.var_g not in bad_vars:
             continue
-        a_k = _ev(c.slope_k, env)
-        a_g = _ev(c.slope_g, env)
+        a_k = ev(c.slope_k)
+        a_g = ev(c.slope_g)
         ratio = max(a_k / a_g, a_g / a_k)
         if best_ratio is None or ratio > best_ratio:
             best, best_ratio = key, ratio
@@ -683,7 +759,7 @@ def _pick_relaxation(
 
 def _pick_storage_relaxation(
     system: ConstraintSystem,
-    env: Mapping[str, int],
+    ev: _Evaluator,
     H: int,
     infeasible: list,
     already: set,
@@ -703,7 +779,7 @@ def _pick_storage_relaxation(
     for c in system.storage:
         if c in already or c.var not in bad_vars:
             continue
-        bound = _ev(c.limit, env) / (_ev(c.delta_p, env) * H)
+        bound = ev(c.limit) / (ev(c.delta_p) * H)
         key = (bound, c.var, c.kind)
         if best_key is None or key < best_key:
             best, best_key = c, key
@@ -728,7 +804,8 @@ def solve_milp(
     from scipy.optimize import Bounds
 
     work = dict(work or {})
-    components = reduce_system(system, env, H)
+    ev = _Evaluator(env)
+    components = _reduce(system, ev, H, None, None, None)
     choices: list[tuple] = []  # (component index, t, cost)
     trips = {c.var: c for c in system.load_balance}
     for ci, comp in enumerate(components):
@@ -737,7 +814,7 @@ def solve_milp(
             raise ValueError(f"infeasible component rooted at {comp.root}")
         for t in ts:
             cost = _component_cost(
-                system, comp, t, env, H, machine, work, trips=trips
+                system, comp, t, ev, H, machine, work, trips
             )
             if cost is not None:
                 choices.append((ci, t, cost))

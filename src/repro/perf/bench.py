@@ -210,7 +210,6 @@ def clear_caches() -> None:
     comparison would be meaningless.
     """
     from ..descriptors import coalesce as _coalesce
-    from ..distribution import ilp as _ilp
     from ..locality import balanced as _balanced
     from ..locality import engine as _engine
     from ..locality import table1 as _table1
@@ -228,7 +227,6 @@ def clear_caches() -> None:
     _context._NONNEG_CACHE.clear()
     _balanced._DECIDE_CACHE.clear()
     _table1.classify_edge.cache_clear()
-    _ilp._EVAL_CACHE.clear()
     _engine.clear_analysis_cache()
     clear_refutation_banks()
     clear_plan_cache()
